@@ -1,5 +1,5 @@
 (* Hot-path indexing benchmarks (the perf companion of HACKING.md
-   "Performance architecture"): label dispatch vs full rule scan,
+   "Performance architecture"): sub-index rule dispatch vs full rule scan,
    term-index-pruned matching vs full traversal, and memoized store
    queries vs fresh evaluation.  Prints tables and emits machine-readable
    BENCH_index.json.  [~smoke] runs a fast subset (wired into
@@ -141,7 +141,7 @@ let run ~smoke () =
     Obs.Profile.phase "dispatch" (fun () ->
         List.map (fun (n, m) -> dispatch_case ~rules:n ~events:m) dispatch_sizes)
   in
-  Util.print_table ~title:"event dispatch: full scan vs label table"
+  Util.print_table ~title:"event dispatch: full scan vs sub-index"
     ~header:[ "rules"; "events"; "firings"; "scan ms"; "indexed ms"; "speedup" ]
     (List.map
        (fun (n, m, fired, naive, indexed) ->

@@ -19,7 +19,7 @@
    - attached: a store-backed registry ([Registry.attach]) serving
      [Pubsub.subscribers] through the [Store.set_dynamic] answerer vs
      [~index:false], the plain document interpreter (the differential
-     oracle, same code path as [XCHANGE_NO_SUBINDEX=1]).
+     oracle the test suite compares the registry against).
 
    Every case asserts the indexed host set equals the linear-scan
    oracle's before timing is reported.  Prints tables and emits

@@ -6,7 +6,6 @@ module Escape = struct
      flips mid-run would leave compiled state inconsistent with the
      dispatch decisions made from it *)
   let no_plan = disabled "XCHANGE_NO_PLAN"
-  let no_subindex = disabled "XCHANGE_NO_SUBINDEX"
   let no_share = disabled "XCHANGE_NO_SHARE"
   let no_par = disabled "XCHANGE_NO_PAR"
   let no_wal = disabled "XCHANGE_NO_WAL"
@@ -25,9 +24,6 @@ module Escape = struct
       ( "XCHANGE_NO_PLAN",
         no_plan,
         "interpret queries instead of running compiled plans (Simulate/Plan)" );
-      ( "XCHANGE_NO_SUBINDEX",
-        no_subindex,
-        "linear-scan registrations instead of Sub_index discrimination" );
       ( "XCHANGE_NO_SHARE",
         no_share,
         "per-rule matchers and join state instead of the shared alpha/beta networks" );

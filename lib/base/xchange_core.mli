@@ -22,11 +22,6 @@ module Escape : sig
       through the backtracking interpreter instead of compiled
       {!Xchange_query.Plan} closures. *)
 
-  val no_subindex : bool
-  (** [XCHANGE_NO_SUBINDEX=1]: replace {!Xchange_query.Sub_index}
-      discrimination (publish dispatch, engine rule-atom candidate
-      selection) with the linear scan over all registrations. *)
-
   val no_share : bool
   (** [XCHANGE_NO_SHARE=1]: give every rule its own atomic event
       matchers instead of deduplicating them through the shared alpha

@@ -124,6 +124,8 @@ let rec element ~keep_ws st =
     if looking_at st "/>" || looking_at st ">" then List.rev acc
     else
       let k = name st in
+      (* [Term.elem] would raise on the repeat: reject it as malformed input *)
+      if List.mem_assoc k acc then fail st (Fmt.str "duplicate attribute %s" k);
       skip_ws st;
       if peek st <> '=' then begin
         (* valueless attribute (HTML only) *)

@@ -12,7 +12,8 @@
     [keep_ws:true]. *)
 
 val parse : ?keep_ws:bool -> string -> (Term.t, string) result
-(** Parses a single root element. *)
+(** Parses a single root element.  Malformed input, a repeated
+    attribute included, is an [Error]; it never raises. *)
 
 val parse_exn : ?keep_ws:bool -> string -> Term.t
 (** @raise Invalid_argument on parse errors. *)

@@ -60,26 +60,11 @@ let rec atoms = function
    constraints plus the payload pattern's canonical digest.  The "\x00"
    separators keep (label="ab", sender="") distinct from (label="a",
    sender="b") and option-ness explicit. *)
-let atomic_digest_uncached (a : atomic) =
+let atomic_digest (a : atomic) =
   let opt = function None -> "-" | Some s -> "+" ^ s in
   Digest.to_hex
     (Digest.string
        (String.concat "\x00" [ opt a.label; opt a.sender; Qterm.digest a.pattern ]))
-
-(* memoized like Qterm.digest: registration and resync paths hash the
-   same few atoms over and over; domain-local so sharded schedulers
-   never contend *)
-let atomic_digest_caches : (atomic, string) Lru.t Xchange_core.Domain_local.t =
-  Xchange_core.Domain_local.create (fun () -> Lru.create ~cap:512)
-
-let atomic_digest (a : atomic) =
-  let cache = Xchange_core.Domain_local.get atomic_digest_caches in
-  match Lru.find cache a with
-  | Some d -> d
-  | None ->
-      let d = atomic_digest_uncached a in
-      Lru.add cache a d;
-      d
 
 let rec has_timers = function
   | Atomic _ -> false

@@ -82,7 +82,7 @@ val vars : t -> string list
 (** Variables a detection can bind (including [Agg]/[Rises] binders). *)
 
 val atoms : t -> atomic list
-(** All atomic sub-queries (for label indexing and dependency checks). *)
+(** All atomic sub-queries (for dispatch indexing and dependency checks). *)
 
 val atomic_digest : atomic -> string
 (** Canonical structural digest of an atomic event query: label, sender

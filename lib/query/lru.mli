@@ -1,10 +1,16 @@
 (** A small bounded cache with least-recently-used eviction.
 
     Keys are compared and hashed structurally (polymorphic [Hashtbl]);
-    keep them to plain data.  Recency is a monotonic use counter;
-    eviction scans the (capacity-bounded) table, which keeps the
-    implementation trivial and is amortized by the cost of producing the
-    value being inserted (a regex compilation, a full document match).
+    keep them to plain data.  The polymorphic hash reads only 10
+    meaningful words of a key, so keys that hold query terms
+    ({!Qterm.t}), whose strings sit deeper than that, share a handful of
+    buckets (14,824 distinct patterns hash to 3 values) and a lookup
+    walks most of the cache.  Key such caches by a digest instead.
+
+    Recency is a monotonic use counter; eviction scans the
+    (capacity-bounded) table, which keeps the implementation trivial and
+    is amortized by the cost of producing the value being inserted (a
+    regex compilation, a full document match).
 
     Hit/miss/eviction counters are exposed for the observability hooks
     ({!Xchange_web.Store.stats}, experiment harnesses). *)

@@ -224,26 +224,14 @@ let encode buf q =
   in
   go q
 
-let digest_uncached q =
+(* Computed afresh on every call: a memo keyed on [t] would hash it
+   polymorphically, which stops after 10 meaningful words — before any
+   string inside a query — so distinct patterns would share a handful
+   of buckets and a lookup would walk most of the cache. *)
+let digest q =
   let buf = Buffer.create 128 in
   encode buf q;
   Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* Digests are recomputed per alpha/beta registration and per Sub_index
-   resync for the same handful of hot patterns; memoize the first
-   computation.  Domain-local LRUs (the Simulate plan-cache idiom) so
-   sharded schedulers never contend on a shared table. *)
-let digest_caches : (t, string) Lru.t Xchange_core.Domain_local.t =
-  Xchange_core.Domain_local.create (fun () -> Lru.create ~cap:512)
-
-let digest q =
-  let cache = Xchange_core.Domain_local.get digest_caches in
-  match Lru.find cache q with
-  | Some d -> d
-  | None ->
-      let d = digest_uncached q in
-      Lru.add cache q d;
-      d
 
 let validate q =
   let problems = ref [] in

@@ -114,9 +114,8 @@ val digest : t -> string
     bindings join), so alpha-equivalent patterns do {b not} share.  Used
     by the shared alpha network ({!Xchange_rules.Alpha}) to key atomic
     event matchers; consumers bucketing on it must still verify
-    structural equality inside a bucket (collision safety).  Memoized in
-    a domain-local LRU — hot registration/resync paths hit the cache
-    after the first computation. *)
+    structural equality inside a bucket (collision safety).  Computed on
+    every call (linear in the term's size); not memoized. *)
 
 val validate : t -> (unit, string) result
 (** Static sanity checks: regexes compile; [Without] patterns do not

@@ -8,9 +8,6 @@
 open Xchange_data
 open Xchange_obs
 
-let enabled_default = not Xchange_core.Escape.no_subindex
-let enabled () = enabled_default
-
 (* ---- required-presence analysis ------------------------------------- *)
 
 (* What must any term matched by [q] (rooted, in the sense of
@@ -84,6 +81,18 @@ let analyse q =
     pivot = (match leaves with (s, _) :: _ -> Some s | [] -> None);
   }
 
+(* Analyses deduped per query term.  Hashed through the canonical
+   digest: the polymorphic hash stops after 10 meaningful words, before
+   any string inside a query, so queries would share a handful of
+   buckets.  Equality stays structural, so a digest collision never
+   shares a plan. *)
+module Shapes = Hashtbl.Make (struct
+  type t = Qterm.t
+
+  let equal = ( = )
+  let hash q = Hashtbl.hash (Qterm.digest q)
+end)
+
 (* ---- trie ------------------------------------------------------------ *)
 
 type 'a entry = { id : int; payload : 'a; elabel : string option; shape : shape }
@@ -107,7 +116,7 @@ type 'a t = {
   by_elabel : (string, 'a node) Hashtbl.t;
   any_elabel : 'a node;
   entries : (int, 'a entry) Hashtbl.t;
-  shapes : (Qterm.t, shape) Hashtbl.t;  (* analysis deduped per query *)
+  shapes : shape Shapes.t;
   mutable next_id : int;
   registry : Obs.Metrics.t;
   c_reg : Obs.Metrics.Counter.t;
@@ -130,7 +139,7 @@ let create ?metrics () =
       by_elabel = Hashtbl.create 16;
       any_elabel = new_node ();
       entries = Hashtbl.create 64;
-      shapes = Hashtbl.create 64;
+      shapes = Shapes.create 64;
       next_id = 0;
       registry;
       c_reg = Obs.Metrics.counter registry "subindex.registrations";
@@ -201,11 +210,11 @@ let bucket_of branch shape ~create =
 
 let register t ?label q payload =
   let shape =
-    match Hashtbl.find_opt t.shapes q with
+    match Shapes.find_opt t.shapes q with
     | Some s -> s
     | None ->
         let s = analyse q in
-        Hashtbl.replace t.shapes q s;
+        Shapes.replace t.shapes q s;
         s
   in
   let id = t.next_id in

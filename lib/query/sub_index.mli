@@ -36,7 +36,13 @@
     Soundness of the extracted fingerprints (a registered query is
     {e never} dropped from the candidates of a term it matches) is
     property-tested against the linear-scan oracle in
-    [test/test_subindex.ml]. *)
+    [test/test_subindex.ml].
+
+    Consumers: {!Xchange_rules.Engine} dispatches every event through
+    one index over its rule atoms (its only dispatch path besides the
+    [~index:false] full-scan reference), and {!Xchange_web.Pubsub.Registry}
+    mirrors the subscription register into one.  Neither has an
+    environment switch to turn the index off. *)
 
 open Xchange_data
 open Xchange_obs
@@ -44,12 +50,6 @@ open Xchange_obs
 type 'a t
 (** A dynamic index of queries, each carrying a payload of type ['a]
     (a subscriber host, a rule number, ...). *)
-
-val enabled : unit -> bool
-(** [false] when [XCHANGE_NO_SUBINDEX=1] is set in the environment
-    (read once at startup) — consumers ({!Xchange_rules.Engine},
-    {!Xchange_web.Pubsub}) then fall back to their linear reference
-    paths, mirroring the [XCHANGE_NO_PLAN] escape hatch. *)
 
 val create : ?metrics:Obs.Metrics.t -> unit -> 'a t
 (** [metrics] registers the index's [subindex.*] cells in an existing
@@ -60,8 +60,9 @@ val register : 'a t -> ?label:string -> Qterm.t -> 'a -> int
     with [~label:l] is only a candidate for lookups carrying the same
     [~label:l]; a registration without a label is a candidate for
     every lookup.  Queries are analysed (and their plans compiled)
-    once per distinct query term — re-registrations share the
-    analysis. *)
+    once per structurally distinct query term — re-registrations share
+    the analysis, found by {!Qterm.digest}, so a digest collision can
+    never share a plan. *)
 
 val remove : 'a t -> int -> bool
 (** Remove a registration by id; [false] if unknown.  O(1) bucket

@@ -8,17 +8,7 @@ type compiled = {
   scope : Ruleset.scope;
   engine : Incremental.t;
   stats : Eca.stats;
-  labels : string list option;
-      (** event labels the rule's query can react to; [None] = any
-          (some atomic sub-query has no label constraint) *)
   needs_clock : bool;  (** the query contains absence operators *)
-}
-
-type index_stats = {
-  mutable dispatch_lookups : int;
-  mutable rules_fed : int;
-  mutable rules_skipped : int;
-  mutable clock_advances : int;
 }
 
 type cells = {
@@ -32,18 +22,14 @@ type cells = {
 type t = {
   root : Ruleset.t;
   compiled : compiled array;  (** in declaration order *)
-  by_label : (string, int list) Hashtbl.t;
-      (** event label -> indices of rules that can react, ascending *)
-  wildcard : int list;  (** rules reacting to any label ([labels = None]) *)
-  clocked : int list;  (** rules with absence timers to advance when skipped *)
-  always_bucket : int list;
-      (** wildcard + clocked merged once at build time: the rules every
-          batch visits under label dispatch *)
+  clocked : int list;
+      (** rules with absence timers, ascending: visited by every batch
+          so that skipped ones still advance their timers *)
   sub : int Sub_index.t option;
       (** every rule atom registered by (label, payload fingerprint);
-          [Some] iff [index] and the sub-index is enabled — dispatch then
-          refutes rules whose atom patterns cannot match the payload,
-          not just label mismatches *)
+          [Some] iff [index] — dispatch then visits only rules with an
+          atom the event can satisfy; [None] is the full-scan
+          reference *)
   alpha : Alpha.t option;
       (** the shared alpha network every rule's atomic matchers (and the
           derivation network's) are registered in; [None] under
@@ -53,8 +39,7 @@ type t = {
           the derivation network's) register in; same lifecycle and
           hatch as [alpha] *)
   derivation : Deductive_event.t;
-  index : bool;
-  subindex : bool;  (** as requested at [create] (kept for {!load_ruleset}) *)
+  index : bool;  (** as requested at [create] (kept for {!load_ruleset}) *)
   share : bool;  (** as requested at [create] (kept for {!load_ruleset}) *)
   fresh_event_id : (unit -> int) option;
       (** derived-event id allocator (kept for {!load_ruleset}) *)
@@ -78,17 +63,6 @@ let total_condition_evaluations t =
 let live_instances t =
   Array.fold_left (fun acc cr -> acc + Incremental.live_instances cr.engine) 0 t.compiled
   + match t.beta with Some b -> Beta.live_instances b | None -> 0
-
-let rule_labels rule =
-  let atoms = Xchange_event.Event_query.atoms rule.Eca.event in
-  let rec collect acc = function
-    | [] -> Some (List.sort_uniq String.compare acc)
-    | (a : Xchange_event.Event_query.atomic) :: rest -> (
-        match a.Xchange_event.Event_query.label with
-        | None -> None
-        | Some l -> collect (l :: acc) rest)
-  in
-  collect [] atoms
 
 let ( let* ) = Result.bind
 
@@ -129,8 +103,7 @@ let merge_sorted a b =
   in
   go a b []
 
-let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
-    ?(share = Alpha.enabled ()) ?fresh_event_id root =
+let create ?horizon ?(index = true) ?(share = Alpha.enabled ()) ?fresh_event_id root =
   let* () = Ruleset.validate root in
   let m = Obs.Metrics.create () in
   (* One alpha network per engine: every rule's atomic matchers — and
@@ -165,7 +138,6 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
                  scope;
                  engine;
                  stats = Eca.fresh_stats ();
-                 labels = rule_labels rule;
                  needs_clock = Event_query.has_timers rule.Eca.event;
                }
               :: acc))
@@ -187,25 +159,6 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
       (Ruleset.all_event_rules root)
   in
   let compiled = Array.of_list (List.rev compiled) in
-  (* Discrimination structures: one hash lookup per event replaces the
-     per-event scan over all rules (Thesis 7: never re-scan). *)
-  let by_label = Hashtbl.create (max 16 (Array.length compiled)) in
-  let wildcard = ref [] and clocked = ref [] in
-  Array.iteri
-    (fun i cr ->
-      (match cr.labels with
-      | None -> wildcard := i :: !wildcard
-      | Some ls ->
-          List.iter
-            (fun l ->
-              let bucket =
-                match Hashtbl.find_opt by_label l with Some b -> b | None -> []
-              in
-              Hashtbl.replace by_label l (i :: bucket))
-            ls);
-      if cr.needs_clock then clocked := i :: !clocked)
-    compiled;
-  Hashtbl.filter_map_inplace (fun _ bucket -> Some (List.rev bucket)) by_label;
   let proc_conds =
     List.concat_map
       (fun (_, (p : Action.proc)) -> Action.conditions p.Action.body)
@@ -221,14 +174,17 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
     | [] -> []  (* no timer can fire, so advancing needs no prefetch *)
     | clocked_crs -> deps_of clocked_crs
   in
-  let wildcard = List.rev !wildcard and clocked = List.rev !clocked in
-  (* The finer discrimination level: every atomic sub-query of every
-     rule, keyed by its event label and what its payload pattern
+  let clocked =
+    List.filter (fun i -> compiled.(i).needs_clock) (List.init (Array.length compiled) Fun.id)
+  in
+  (* Discrimination (Thesis 2: each site decides locally which rules
+     fire, without re-scanning them all): every atomic sub-query of
+     every rule, keyed by its event label and what its payload pattern
      requires.  Feeding a refuted (rule, event) pair would be a no-op —
-     the atom's plan cannot match — so candidate selection is exact in
-     the same sense as the label buckets, just sharper. *)
+     the atom's plan cannot match — so candidate selection changes
+     cost, never outcomes. *)
   let sub =
-    if index && subindex then begin
+    if index then begin
       let s = Sub_index.create ~metrics:m () in
       Array.iteri
         (fun i cr ->
@@ -245,16 +201,12 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
     {
       root;
       compiled;
-      by_label;
-      wildcard;
       clocked;
-      always_bucket = merge_sorted wildcard clocked;
       sub;
       alpha;
       beta;
       derivation;
       index;
-      subindex;
       share;
       fresh_event_id;
       remote_deps;
@@ -275,8 +227,6 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
   Obs.Metrics.gauge_fn m "engine.live_instances" (fun () -> float_of_int (live_instances t));
   Obs.Metrics.counter_fn m "engine.condition_evaluations" (fun () ->
       total_condition_evaluations t);
-  Obs.Metrics.gauge_fn m "engine.dispatch_labels" (fun () ->
-      float_of_int (Hashtbl.length t.by_label));
   Obs.Metrics.counter_fn m "engine.join.probes" (fun () ->
       (join_stats t).Incremental.probes);
   Obs.Metrics.counter_fn m "engine.join.pairs_probed" (fun () ->
@@ -287,8 +237,8 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
       (join_stats t).Incremental.instances_pruned);
   Ok t
 
-let create_exn ?horizon ?index ?subindex ?share ?fresh_event_id root =
-  match create ?horizon ?index ?subindex ?share ?fresh_event_id root with
+let create_exn ?horizon ?index ?share ?fresh_event_id root =
+  match create ?horizon ?index ?share ?fresh_event_id root with
   | Ok t -> t
   | Error e -> invalid_arg ("Engine.create: " ^ e)
 
@@ -334,48 +284,33 @@ let fire_detections ~env ~ops cr detections acc =
 
 (* Per-event candidate rules from the sub-index, ascending: rules with
    an atom whose label and payload fingerprint the event satisfies.
-   Refuted rules would be no-op feeds (no atom plan can match), exactly
-   like label misses — and like those, skipped clocked rules still get
-   their timers advanced. *)
-let event_candidates sub all_events =
-  List.map
-    (fun ev ->
-      ( ev,
-        List.sort_uniq Int.compare
-          (List.map snd (Sub_index.lookup sub ~label:ev.Event.label ev.Event.payload)) ))
-    all_events
+   Refuted rules would be no-op feeds (no atom plan can match). *)
+let candidates sub ev =
+  List.sort_uniq Int.compare
+    (List.map snd (Sub_index.lookup sub ~label:ev.Event.label ev.Event.payload))
 
 (* Rule indices that must see this event batch, ascending (= declaration
-   order, so firings come out exactly as the full scan produced them).
-   With the sub-index: the union of the batch's per-event candidates
-   plus the clock observers.  With label dispatch: the buckets of the
-   batch's labels, rules without a label constraint, and — because
-   skipped rules still observe time — every rule with absence timers.
-   All other rules would be no-ops: their atoms cannot match and they
-   have no deadlines to resolve. *)
-let dispatch t candidates all_events =
-  if not t.index then List.init (Array.length t.compiled) Fun.id
-  else begin
-    Obs.Metrics.Counter.incr t.c.c_lookups;
-    let visit =
-      match candidates with
-      | Some per_event ->
-          List.fold_left (fun acc (_, cands) -> merge_sorted acc cands) t.clocked per_event
-      | None ->
-          let buckets =
-            List.concat_map
-              (fun ev ->
-                match Hashtbl.find_opt t.by_label ev.Event.label with
-                | Some bucket -> bucket
-                | None -> [])
-              all_events
-          in
-          merge_sorted t.always_bucket (List.sort_uniq Int.compare buckets)
-    in
-    Obs.Metrics.Counter.incr ~by:(Array.length t.compiled - List.length visit)
-      t.c.c_skipped;
-    visit
-  end
+   order, so firings come out exactly as the full scan produced them):
+   the union of the batch's per-event candidates plus — because skipped
+   rules still observe time — every rule with absence timers.  All
+   other rules would be no-ops: their atoms cannot match and they have
+   no deadlines to resolve. *)
+let dispatch t per_event =
+  Obs.Metrics.Counter.incr t.c.c_lookups;
+  let visit = List.fold_left merge_sorted t.clocked per_event in
+  Obs.Metrics.Counter.incr ~by:(Array.length t.compiled - List.length visit) t.c.c_skipped;
+  visit
+
+(* [rest] is an event's ascending candidate list, consumed in step with
+   the ascending visit list, which contains every candidate: when rule
+   [i] is visited, all smaller candidates are already consumed, so [i]
+   is a candidate iff it is the head.  No list is rescanned. *)
+let take_candidate rest i =
+  match !rest with
+  | j :: tl when j = i ->
+      rest := tl;
+      true
+  | _ -> false
 
 let handle_event t ~env ~ops event =
   Obs.Metrics.Counter.incr t.c.c_seen;
@@ -393,50 +328,48 @@ let handle_event t ~env ~ops event =
     Option.iter Beta.begin_batch t.beta;
     let derived = Deductive_event.feed t.derivation event in
     let all_events = event :: derived in
-    let candidates = Option.map (fun sub -> event_candidates sub all_events) t.sub in
+    let feed acc cr ev =
+      let detections = Incremental.feed cr.engine ev in
+      if Obs.enabled () && detections <> [] then
+        ignore
+          (Obs.Trace.instant ~cat:"rule"
+             ~args:
+               [ ("rule", cr.qualified); ("count", string_of_int (List.length detections)) ]
+             ~name:"detect" ~vt:(ops.Action.now ()) ());
+      fire_detections ~env ~ops cr detections acc
+    in
+    let init = { empty_outcome with derived_events = derived } in
     let acc =
-      List.fold_left
-        (fun acc i ->
-          let cr = t.compiled.(i) in
+      match t.sub with
+      | None ->
+          (* the full-scan reference: every rule sees every event *)
+          Array.fold_left
+            (fun acc cr -> List.fold_left (fun acc ev -> feed acc cr ev) acc all_events)
+            init t.compiled
+      | Some sub ->
+          let per_event = List.map (fun ev -> (ev, ref (candidates sub ev))) all_events in
+          let visit = dispatch t (List.map (fun (_, rest) -> !rest) per_event) in
           List.fold_left
-            (fun acc ev ->
-              let relevant =
-                (not t.index)
-                ||
-                match candidates with
-                | Some per_event -> List.mem i (List.assq ev per_event)
-                | None -> (
-                    match cr.labels with
-                    | None -> true
-                    | Some labels -> List.mem ev.Event.label labels)
-              in
-              if relevant then begin
-                if t.index then Obs.Metrics.Counter.incr t.c.c_fed;
-                let detections = Incremental.feed cr.engine ev in
-                if Obs.enabled () && detections <> [] then
-                  ignore
-                    (Obs.Trace.instant ~cat:"rule"
-                       ~args:
-                         [
-                           ("rule", cr.qualified);
-                           ("count", string_of_int (List.length detections));
-                         ]
-                       ~name:"detect" ~vt:(ops.Action.now ()) ());
-                fire_detections ~env ~ops cr detections acc
-              end
-              else if cr.needs_clock then begin
-                (* skipped rules still observe time: resolve absence
-                   deadlines strictly before the event, exactly as a
-                   non-matching feed would *)
-                Obs.Metrics.Counter.incr t.c.c_clock;
-                fire_detections ~env ~ops cr
-                  (Incremental.advance_to cr.engine (Event.time ev - 1))
-                  acc
-              end
-              else acc)
-            acc all_events)
-        { empty_outcome with derived_events = derived }
-        (dispatch t candidates all_events)
+            (fun acc i ->
+              let cr = t.compiled.(i) in
+              List.fold_left
+                (fun acc (ev, rest) ->
+                  if take_candidate rest i then begin
+                    Obs.Metrics.Counter.incr t.c.c_fed;
+                    feed acc cr ev
+                  end
+                  else if cr.needs_clock then begin
+                    (* skipped rules still observe time: resolve absence
+                       deadlines strictly before the event, exactly as a
+                       non-matching feed would *)
+                    Obs.Metrics.Counter.incr t.c.c_clock;
+                    fire_detections ~env ~ops cr
+                      (Incremental.advance_to cr.engine (Event.time ev - 1))
+                      acc
+                  end
+                  else acc)
+                acc per_event)
+            init visit
     in
     let out = finish acc in
     (if span <> 0 then
@@ -467,7 +400,7 @@ let advance t ~env ~ops time =
 
 let load_ruleset t incoming =
   let merged = { t.root with Ruleset.children = t.root.Ruleset.children @ [ incoming ] } in
-  create ~index:t.index ~subindex:t.subindex ~share:t.share
+  create ~index:t.index ~share:t.share
     ?fresh_event_id:t.fresh_event_id merged
 
 let ruleset t = t.root
@@ -476,15 +409,6 @@ let stats t = Array.to_list (Array.map (fun cr -> (cr.qualified, cr.stats)) t.co
 let events_seen t = Obs.Metrics.Counter.value t.c.c_seen
 let metrics t = t.m
 
-let index_stats t =
-  {
-    dispatch_lookups = Obs.Metrics.Counter.value t.c.c_lookups;
-    rules_fed = Obs.Metrics.Counter.value t.c.c_fed;
-    rules_skipped = Obs.Metrics.Counter.value t.c.c_skipped;
-    clock_advances = Obs.Metrics.Counter.value t.c.c_clock;
-  }
-
-let dispatch_labels t = Hashtbl.length t.by_label
 let subindex_stats t = Option.map Sub_index.stats t.sub
 let alpha_stats t = Option.map Alpha.stats t.alpha
 let beta_stats t = Option.map Beta.stats t.beta

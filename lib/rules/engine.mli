@@ -20,7 +20,6 @@ type t
 val create :
   ?horizon:Clock.span ->
   ?index:bool ->
-  ?subindex:bool ->
   ?share:bool ->
   ?fresh_event_id:(unit -> int) ->
   Ruleset.t ->
@@ -29,21 +28,17 @@ val create :
     calls), every rule's event query, and the (non-recursive) event
     derivation program, then compiles one incremental engine per rule.
 
-    [index] (default true) dispatches events through a precomputed
-    [label -> rules] hash table (plus a wildcard bucket for rules
-    without a label constraint): an event only touches rules that can
-    react to it, instead of scanning the whole rule base.  A rule whose
-    query names only other labels is not fed the event (its absence
-    timers are still advanced, preserving semantics — a separate
-    clock-observer bucket).
+    Events are dispatched through one {!Sub_index} over every rule
+    atom: an event reaches only rules with an atom whose label {e and}
+    payload fingerprint it can satisfy, so rules refuted by the
+    event's shape are never visited.  A rule that is not fed the event
+    still has its absence timers advanced, preserving semantics.
 
-    [subindex] (default: on unless [XCHANGE_NO_SUBINDEX=1]; only
-    meaningful with [index]) replaces the flat label buckets with a
-    shared {!Sub_index} over every rule atom: an event reaches only
-    rules with an atom whose label {e and} payload fingerprint it can
-    satisfy, so rules refuted by the published term's shape are never
-    visited.  Outcomes are identical across all three modes
-    (property-tested); disable them only for that comparison.
+    [index:false] (default [true]) is the reference path the
+    differential suites compare against: every rule sees every event
+    (no sub-index) and composite-event joins run as nested loops
+    instead of hash-partitioned.  Outcomes are identical on both paths
+    (property-tested); use it only for that comparison.
 
     [share] (default: on unless [XCHANGE_NO_SHARE=1]) deduplicates
     rule evaluation across the whole rule base through two shared
@@ -68,7 +63,6 @@ val create :
 val create_exn :
   ?horizon:Clock.span ->
   ?index:bool ->
-  ?subindex:bool ->
   ?share:bool ->
   ?fresh_event_id:(unit -> int) ->
   Ruleset.t ->
@@ -127,21 +121,13 @@ val next_deadline : t -> Clock.time option
 
 (** {1 Dispatch observability} *)
 
-type index_stats = {
-  mutable dispatch_lookups : int;  (** event batches routed through the table *)
-  mutable rules_fed : int;  (** (rule, event) feeds that passed dispatch *)
-  mutable rules_skipped : int;  (** rules not even visited for a batch *)
-  mutable clock_advances : int;
-      (** timer-only advances of skipped absence rules *)
-}
-
-val index_stats : t -> index_stats
-(** Counters since [create]; all zero when [index] is false.  A legacy
-    view built from the engine's {!Obs.Metrics} registry cells at call
-    time (a snapshot, not a live reference). *)
-
 val metrics : t -> Obs.Metrics.t
-(** The engine's registry: the [engine.*] dispatch counters and
+(** The engine's registry: the dispatch counters
+    ([engine.dispatch_lookups]: event batches routed through the
+    sub-index; [engine.rules_fed]: (rule, event) feeds that passed
+    dispatch; [engine.rules_skipped]: rules not even visited for a
+    batch; [engine.clock_advances]: timer-only advances of skipped
+    absence rules — all zero under [~index:false]) and
     [engine.events_seen], plus pull cells sampling the per-rule and
     join-level aggregates ([engine.live_instances],
     [engine.condition_evaluations], [engine.join.*]).  When tracing is
@@ -159,12 +145,9 @@ val join_stats : t -> Incremental.join_stats
     [pairs_probed] across [~share] modes measures the cross-rule join
     sharing (BENCH_rules' composite sweep). *)
 
-val dispatch_labels : t -> int
-(** Distinct labels in the dispatch table. *)
-
 val subindex_stats : t -> Sub_index.stats option
-(** Counters of the rule-atom sub-index ([None] when dispatch runs on
-    label buckets or a full scan).  Its cells also live in {!metrics}
+(** Counters of the rule-atom sub-index ([None] under [~index:false],
+    the full scan).  Its cells also live in {!metrics}
     under [subindex.*]. *)
 
 val alpha_stats : t -> Alpha.stats option

@@ -351,7 +351,7 @@ module Registry = struct
     reg.store <- Some store;
     reg.dirty <- true;
     Store.on_change store (observe reg);
-    if Sub_index.enabled () then Store.set_dynamic store subscribers_doc (answer reg);
+    Store.set_dynamic store subscribers_doc (answer reg);
     reg
 end
 

@@ -25,8 +25,8 @@
     handcrafted structure) triggers a full resync, and registers that
     are not plain pair lists disable the fast path entirely until they
     are clean again — answers are always exactly those of the document
-    query.  [XCHANGE_NO_SUBINDEX=1] keeps the rule-driven linear-scan
-    path as the differential oracle, mirroring [XCHANGE_NO_PLAN]. *)
+    query.  {!subscribers}[ ~index:false] keeps the linear scan of the
+    document as the differential oracle. *)
 
 open Xchange_data
 open Xchange_rules
@@ -65,9 +65,9 @@ module Registry : sig
 
   val attach : Store.t -> t
   (** Mirror the store's [/subscribers] document: subscribes to the
-      store's change feed, and — unless [XCHANGE_NO_SUBINDEX=1] —
-      installs the {!Store.set_dynamic} answerer so the fan-out rule's
-      register query is served from the index.  The mirror is lazy: it
+      store's change feed, and installs the {!Store.set_dynamic}
+      answerer so the fan-out rule's register query is served from the
+      index.  The mirror is lazy: it
       (re)builds from the document on first use and after any
       unrecognised mutation.  Do not combine with direct {!subscribe} /
       {!unsubscribe} calls — attached registries are maintained by the

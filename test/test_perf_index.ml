@@ -249,15 +249,19 @@ let test_engine_counters () =
   in
   let store, ops = harness () in
   let env = Store.env store in
-  Alcotest.(check int) "three dispatch labels" 3 (Engine.dispatch_labels engine);
   let outcome =
     Engine.handle_event engine ~env ~ops (Event.make ~occurred_at:1 ~label:"a" (Term.text "x"))
   in
   Alcotest.(check int) "only r-a fires" 1 (List.length outcome.Engine.firings);
-  let st = Engine.index_stats engine in
-  Alcotest.(check int) "one lookup" 1 st.Engine.dispatch_lookups;
-  Alcotest.(check int) "one rule fed" 1 st.Engine.rules_fed;
-  Alcotest.(check int) "two rules skipped" 2 st.Engine.rules_skipped
+  let snap = Obs.Metrics.snapshot (Engine.metrics engine) in
+  let cell name =
+    match Obs.Metrics.find snap name with
+    | Some (Obs.Metrics.Int n) -> n
+    | _ -> Alcotest.failf "no counter %s" name
+  in
+  Alcotest.(check int) "one lookup" 1 (cell "engine.dispatch_lookups");
+  Alcotest.(check int) "one rule fed" 1 (cell "engine.rules_fed");
+  Alcotest.(check int) "two rules skipped" 2 (cell "engine.rules_skipped")
 
 let suite =
   ( "perf-index",

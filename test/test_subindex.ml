@@ -129,7 +129,7 @@ let prop_seeded =
                got want)
         probes)
 
-(* ---- Engine: sub-index dispatch = label buckets = full scan ---- *)
+(* ---- Engine: sub-index dispatch = full scan ---- *)
 
 let harness () =
   let store = Store.create () in
@@ -171,29 +171,26 @@ let rules_of queries =
           action)
     queries
 
-let three_mode_prop (queries, events) =
+let dispatch_prop (queries, events) =
   let valid = List.filter (fun q -> Result.is_ok (Event_query.validate q)) queries in
   if valid = [] then QCheck.assume_fail ()
   else
-    let run ~index ~subindex =
-      let engine =
-        Engine.create_exn ~index ~subindex (Ruleset.make ~rules:(rules_of valid) "p")
-      in
+    let run ~index =
+      let engine = Engine.create_exn ~index (Ruleset.make ~rules:(rules_of valid) "p") in
       let store, ops = harness () in
       let env = Store.env store in
       let outcomes = List.map (fun e -> Engine.handle_event engine ~env ~ops e) events in
       let closing = Engine.advance engine ~env ~ops (final_time events) in
       (outcomes @ [ closing ], Option.get (Store.doc store "/orders"))
     in
-    let scan, doc_s = run ~index:false ~subindex:false in
-    let buckets, doc_b = run ~index:true ~subindex:false in
-    let sub, doc_sub = run ~index:true ~subindex:true in
-    let same (a, da) (b, db) =
-      List.length a = List.length b && List.for_all2 outcome_equal a b && Term.equal da db
-    in
-    if same (scan, doc_s) (buckets, doc_b) && same (scan, doc_s) (sub, doc_sub) then true
+    let scan, doc_s = run ~index:false in
+    let sub, doc_sub = run ~index:true in
+    if List.length scan = List.length sub
+       && List.for_all2 outcome_equal scan sub
+       && Term.equal doc_s doc_sub
+    then true
     else
-      QCheck.Test.fail_reportf "dispatch-mode divergence on %d rules, %d events"
+      QCheck.Test.fail_reportf "sub-index/full-scan divergence on %d rules, %d events"
         (List.length valid) (List.length events)
 
 let queries_arb =
@@ -206,10 +203,10 @@ let stream_arb =
     ~print:(fun evs -> Fmt.str "%a" Fmt.(list ~sep:cut Event.pp) evs)
     (Gen.event_stream_gen ~labels:[ "a"; "b"; "c" ] ~max_len:20 ~max_gap:15)
 
-let prop_three_modes =
-  QCheck.Test.make ~name:"Engine: sub-index = label buckets = full scan" ~count:200
+let prop_dispatch =
+  QCheck.Test.make ~name:"Engine: sub-index = full scan" ~count:200
     (QCheck.pair queries_arb stream_arb)
-    three_mode_prop
+    dispatch_prop
 
 (* ---- Pubsub: attached registry = plain document path, rule-driven ---- *)
 
@@ -446,8 +443,8 @@ let test_attach_exotic_recovery () =
   let reg = Pubsub.Registry.attach store in
   ignore (Store.apply store (root_insert (pair_entry "sport" "h1")));
   Alcotest.check hosts_t "mirrored insert" [ "h1" ] (Pubsub.subscribers store ~topic:"sport");
-  (* query the mirror itself: triggers the lazy (re)sync in either
-     dispatch mode, including XCHANGE_NO_SUBINDEX=1 *)
+  (* the store query above ran the mirror's lazy sync through the
+     attached answerer; the mirror itself serves the same hosts *)
   Alcotest.check hosts_t "mirror serves it" [ "h1" ]
     (Pubsub.Registry.subscribers reg ~topic:"sport");
   Alcotest.(check bool) "synced" true (Pubsub.Registry.synced reg);
@@ -478,7 +475,7 @@ let suite =
     [
       QCheck_alcotest.to_alcotest ~long:true prop_churn;
       QCheck_alcotest.to_alcotest prop_seeded;
-      QCheck_alcotest.to_alcotest ~long:true prop_three_modes;
+      QCheck_alcotest.to_alcotest ~long:true prop_dispatch;
       QCheck_alcotest.to_alcotest prop_pubsub;
       Alcotest.test_case "wildcard-bucket routing" `Quick test_wildcard_routing;
       Alcotest.test_case "fingerprint refutation counters" `Quick test_fingerprint_refutation;

@@ -34,6 +34,17 @@ let test_parse_errors () =
   bad "";
   bad "<a foo=bar></a>"
 
+(* a repeated attribute is malformed input: an [Error] naming it, never
+   an exception, from either entry point (HTML lower-cases names first) *)
+let test_duplicate_attribute () =
+  let rejected = function
+    | Ok _ -> Alcotest.fail "repeated attribute accepted"
+    | Error msg ->
+        Alcotest.(check bool) msg true (String.starts_with ~prefix:"duplicate attribute x" msg)
+  in
+  rejected (Xml.parse {|<a x="1" x="2"/>|});
+  rejected (Xml.parse_html {|<a x=1 X="2">t</a>|})
+
 let test_unordered_roundtrip () =
   let t = Term.elem ~ord:Term.Unordered "s" [ Term.text "x" ] in
   let back = Xml.parse_exn (Xml.to_string t) in
@@ -125,6 +136,7 @@ let suite =
       Alcotest.test_case "whitespace control" `Quick test_parse_whitespace;
       Alcotest.test_case "comments and declarations skipped" `Quick test_parse_comments_and_pi;
       Alcotest.test_case "malformed inputs rejected" `Quick test_parse_errors;
+      Alcotest.test_case "duplicate attribute is an error" `Quick test_duplicate_attribute;
       Alcotest.test_case "unordered flag roundtrips" `Quick test_unordered_roundtrip;
       Alcotest.test_case "escaping roundtrips" `Quick test_escaping;
       Alcotest.test_case "single-quoted attributes" `Quick test_single_quotes;
